@@ -84,7 +84,7 @@ std::string CountersReport::to_string() const {
      << " cont_pushed=" << t.continuations_pushed
      << " wakes=" << t.wakes_pushed << " switches=" << t.fiber_resumes
      << " shed=" << t.shed << " batch_steals=" << t.batch_steals << "/"
-     << t.batch_stolen_items << " backoffs=" << t.steal_backoffs;
+     << t.batch_stolen_items << " parks=" << t.steal_backoffs;
   return os.str();
 }
 

@@ -144,8 +144,9 @@ struct alignas(64) WorkerCounters {
   /// extras land on the thief's deque and reconcile as later local_pops
   /// (see the class comment).
   RelaxedCounter batch_stolen_items;
-  /// Backoff episodes: a worker slept (capped exponential) after a run of
-  /// consecutive failed steal rounds. Counts episodes, not spins.
+  /// Parks of a worker that has victims (num_workers() > 1): a failed
+  /// steal streak outlasted the idle spin and the worker blocked on the
+  /// scheduler's work epoch. Always zero in a 1-worker pool.
   RelaxedCounter steal_backoffs;
 
   WorkerCounters& operator+=(const WorkerCounters& o);

@@ -17,6 +17,15 @@ namespace detail {
 namespace {
 thread_local Worker* tl_worker = nullptr;
 thread_local Fiber* tl_fiber = nullptr;
+
+/// The spin-wait hint: x86 PAUSE, arm64 YIELD.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
 }  // namespace
 
 // noinline: fiber code must re-read these after suspension points, because a
@@ -55,61 +64,67 @@ Worker::~Worker() = default;
 
 void Worker::main_loop() {
   tl_worker = this;
-  int idle_spins = 0;
+  // The idle path: a few µs of find_work rounds separated by pause bursts,
+  // then park. A longer spin bought no latency on the wsfbench stream
+  // workloads and cost CPU after every job.
+  constexpr std::uint32_t kSpinRounds = 8;
+  constexpr std::uint32_t kPausesPerRound = 16;
+  std::uint32_t misses = 0;
   while (true) {
-    Job* job = find_work();
-    if (job) {
-      idle_spins = 0;
+    if (Job* job = find_work()) {
+      misses = 0;
       execute(job);
       continue;
     }
     // acquire pairs with the destructor's release-store: after stop reads
     // true the drained state (no jobs in flight) is visible too.
     if (sched_.stop_.load(std::memory_order_acquire)) break;
-    if (++idle_spins < 64) {
-      std::this_thread::yield();
+    if (++misses < kSpinRounds) {
+      for (std::uint32_t i = 0; i < kPausesPerRound; ++i) cpu_relax();
       continue;
     }
-    // Park. Read the admission epoch, re-check for work (an admission
-    // between the miss above and the wait would otherwise be slept
-    // through; bumping the epoch under idle_mutex_ closes the remaining
-    // window), then wait until the epoch moves, stop is requested, or a
-    // timeout re-arms the steal loop — work pushed onto a peer's deque
-    // does not bump the epoch, so sleepers must still poll for steals.
-    // acquire pairs with the admission-side release bump: a worker that
-    // observes a moved epoch also observes the job that caused it.
-    const std::uint64_t epoch =
-        sched_.work_epoch_.load(std::memory_order_acquire);
-    if ((job = find_work()) != nullptr) {
-      idle_spins = 0;
-      execute(job);
-      continue;
-    }
-    {
-      support::UniqueLock lock(sched_.idle_mutex_);
-      sched_.idle_cv_.wait_for(
-          lock, std::chrono::microseconds(100), [&] {
-            // Both acquire: see the comment on the pre-lock epoch read;
-            // stop additionally orders the destructor's drained state.
-            return sched_.work_epoch_.load(std::memory_order_acquire) !=
-                       epoch ||
-                   sched_.stop_.load(std::memory_order_acquire);
-          });
-    }
-    idle_spins = 0;
+    misses = 0;
+    park();
   }
   tl_worker = nullptr;
+}
+
+void Worker::park() {
+  // Eventcount, waiter side. acquire pairs with wake_one's release bump: a
+  // worker that reads a moved epoch also sees the work that moved it.
+  const std::uint32_t epoch =
+      sched_.work_epoch_.load(std::memory_order_acquire);
+  // seq_cst RMW + fence against wake_one's fence-then-load (store-load
+  // Dekker): either the publisher sees this sleeper and bumps the epoch,
+  // or the re-check below sees the published work.
+  sched_.sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // see above
+  // acquire: as in main_loop (the destructor's final bump may be the epoch
+  // read above). relaxed probes: advisory, made exact by the fences.
+  bool idle = !sched_.stop_.load(std::memory_order_acquire) &&
+              sched_.inbox_size_.load(std::memory_order_relaxed) == 0;
+  for (const auto& w : sched_.workers_)
+    idle = idle && w->deque_.empty_estimate();
+  if (idle) {
+    if (sched_.num_workers() > 1) counters_.steal_backoffs++;
+    sched_.work_epoch_.wait(epoch, std::memory_order_acquire);  // see above
+  }
+  // relaxed: a stale nonzero costs a publisher one spurious notify.
+  sched_.sleepers_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Worker::push(Job* j) {
+  deque_.push_bottom(j);
+  sched_.wake_one();
 }
 
 Job* Worker::find_work() {
   if (Job* j = deque_.pop_bottom()) {
     counters_.local_pops++;
-    failed_steal_streak_ = 0;
     return j;
   }
   if (Job* j = sched_.take_injected(*this)) {
     counters_.inbox_takes++;
-    failed_steal_streak_ = 0;
     return j;
   }
   // One steal operation per round, like the model's parsimonious thief
@@ -124,28 +139,9 @@ Job* Worker::find_work() {
   if (j != nullptr) {
     counters_.steals++;
     last_victim_ = victim;
-    failed_steal_streak_ = 0;
-    backoff_us_ = 0;
     return j;
   }
   last_victim_ = kNoVictim;
-  // Capped exponential backoff once a few consecutive rounds fail: an idle
-  // thief hammering top_ CASes generates coherence traffic on every victim
-  // line it probes; sleeping before the next probe costs only latency it
-  // was already wasting. main_loop's epoch park still bounds the worst
-  // case, and any acquired work resets the streak.
-  constexpr std::uint32_t kBackoffAfter = 4;
-  constexpr std::uint32_t kBackoffStartUs = 2;
-  constexpr std::uint32_t kBackoffCapUs = 64;
-  if (++failed_steal_streak_ >= kBackoffAfter) {
-    if (backoff_us_ == 0) {
-      backoff_us_ = kBackoffStartUs;
-    } else if (backoff_us_ < kBackoffCapUs) {
-      backoff_us_ *= 2;
-    }
-    counters_.steal_backoffs++;
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff_us_));
-  }
   return nullptr;
 }
 
@@ -191,7 +187,7 @@ Job* Worker::steal_from(std::uint32_t victim) {
   // uncounted here, acquired later as local_pops (the take_injected
   // precedent), so the acquisition identities close unchanged. Push newest
   // first: LIFO pops then run them oldest-first after the returned job.
-  for (std::size_t i = got; i > 1; --i) deque_.push_bottom(steal_buf_[i - 1]);
+  for (std::size_t i = got; i > 1; --i) push(steal_buf_[i - 1]);
   if (got > 1) {
     counters_.batch_steals++;
     counters_.batch_stolen_items += got - 1;
@@ -301,7 +297,7 @@ void Worker::run_fiber(Fiber* f) {
             new Job{Job::Kind::Resume, {},
                     std::exchange(pending_continuation_, nullptr),
                     current_job_};
-        deque_.push_bottom(resume);
+        push(resume);
         counters_.continuations_pushed++;
         if (pending_child_) {
           counters_.tasks_run++;
@@ -349,7 +345,7 @@ void Worker::spawn_future_first(Fiber& parent, std::unique_ptr<Job> child) {
 void Worker::spawn_parent_first(std::unique_ptr<Job> child) {
   child->job = current_job_;
   sched_.task_started(*current_job_);
-  deque_.push_bottom(child.release());
+  push(child.release());
 }
 
 void Worker::park_on(FutureStateBase& state, Fiber& f) {
@@ -364,7 +360,7 @@ void Worker::set_handoff(Fiber* f) {
 }
 
 void Worker::push_resume(Fiber* f) {
-  deque_.push_bottom(new Job{Job::Kind::Resume, {}, f, current_job_});
+  push(new Job{Job::Kind::Resume, {}, f, current_job_});
   counters_.wakes_pushed++;
 }
 
@@ -397,14 +393,11 @@ Scheduler::Scheduler(const RuntimeOptions& opts) : opts_(opts) {
 
 Scheduler::~Scheduler() {
   drain();
-  {
-    support::LockGuard lock(idle_mutex_);
-    // Both release, and under idle_mutex_ so parked workers cannot miss
-    // the wake: a worker re-checks its predicate while holding the lock.
-    stop_.store(true, std::memory_order_release);
-    work_epoch_.fetch_add(1, std::memory_order_release);  // see above
-  }
-  idle_cv_.notify_all();
+  // Both release: a parked worker wakes on the bump, and one that reads the
+  // bumped epoch before parking (acquire) also sees stop in its re-check.
+  stop_.store(true, std::memory_order_release);
+  work_epoch_.fetch_add(1, std::memory_order_release);  // see above
+  work_epoch_.notify_all();
   for (auto& t : threads_) t.join();
   // drain() emptied the inbox; defensive cleanup if a job was admitted
   // concurrently with destruction (a contract violation). Locked even
@@ -511,14 +504,9 @@ SubmitStatus Scheduler::admit(detail::Job** jobs, std::size_t n,
     }
     inbox_size_ += n;
   }
-  {
-    support::LockGuard lock(idle_mutex_);
-    // release, under idle_mutex_: one bump + notify admits all n jobs;
-    // pairs with the idle loop's acquire reads and closes the miss/park
-    // race (see the work_epoch_ declaration).
-    work_epoch_.fetch_add(1, std::memory_order_release);
-  }
-  idle_cv_.notify_all();
+  // One wake admits all n jobs: the woken worker pushes the admission
+  // batch's extras through Worker::push, which wakes the next sleeper.
+  wake_one();
   adm_admitted_.fetch_add(n, std::memory_order_relaxed);  // see above
   return SubmitStatus::Admitted;
 }
@@ -570,9 +558,11 @@ detail::Job* Scheduler::take_injected(detail::Worker& taker) {
   detail::Job* shed[kShedBatch];
   std::size_t n_shed = 0;
   bool notify_space = false;
+  // relaxed probe before the lock: a stale zero only defers this worker to
+  // its next round, and park() re-checks before sleeping.
+  if (inbox_size_.load(std::memory_order_relaxed) == 0) return nullptr;
   {
     support::LockGuard lock(inbox_mutex_);
-    if (inbox_size_ == 0) return nullptr;
     // One clock read per take, and only on streams that carry deadlines.
     const auto now = inbox_deadlines_ > 0
                          ? std::chrono::steady_clock::now()
@@ -622,9 +612,19 @@ detail::Job* Scheduler::take_injected(detail::Worker& taker) {
   // is counted when they are popped or stolen, so the work-accounting
   // identities still see exactly one source per job. Push newest first:
   // LIFO pops then run them oldest-first after `first`.
-  for (std::size_t i = n_extras; i > 0; --i)
-    taker.deque().push_bottom(extras[i - 1]);
+  for (std::size_t i = n_extras; i > 0; --i) taker.push(extras[i - 1]);
   return first;
+}
+
+void Scheduler::wake_one() {
+  // Eventcount, publisher side: the fence orders the caller's publication
+  // before the sleepers_ read (pairs with park()'s increment-then-fence);
+  // acquire makes a counted sleeper's epoch read precede the bump.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_acquire) == 0) return;  // see above
+  // release pairs with park()'s acquire epoch reads.
+  work_epoch_.fetch_add(1, std::memory_order_release);
+  work_epoch_.notify_one();
 }
 
 void Scheduler::task_finished(detail::JobState& js) {

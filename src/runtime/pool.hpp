@@ -17,9 +17,9 @@
 // serve a *stream* of jobs. A job is one root closure plus everything it
 // spawns; each job's completion is tracked independently (per-job
 // outstanding-task count), so concurrent submitters never wait on each
-// other's work. Admission goes through a FIFO inbox; idle workers park on a
-// condition variable and are woken by admission, so a pool of idle
-// schedulers costs ~no CPU.
+// other's work. Admission goes through a FIFO inbox; idle workers spin
+// briefly, then park on an eventcount that admission and deque pushes
+// notify, so a pool of idle schedulers costs ~no CPU.
 //
 // One-shot usage (unchanged):
 //   Scheduler sched({.workers = 4, .policy = SpawnPolicy::FutureFirst});
@@ -304,13 +304,16 @@ class Worker {
   WorkerCounters& counters() { return counters_; }
   std::uint32_t id() const { return id_; }
   Scheduler& scheduler() { return sched_; }
-  ChaseLevDeque<Job*>& deque() { return deque_; }
 
  private:
   friend class wsf::runtime::Scheduler;
   friend struct WorkerAudit;  // tests/test_false_sharing.cpp
 
   Job* find_work();
+  /// The one way work enters a deque: push, then Scheduler::wake_one.
+  void push(Job* j);
+  /// Waits for the work epoch to move unless a re-check sees work or stop.
+  void park();
   /// Chooses a steal victim under victim_policy_ (never this worker).
   std::uint32_t pick_victim(std::uint32_t n);
   /// One steal operation against `victim` under steal_policy_: steal-one
@@ -347,11 +350,6 @@ class Worker {
   static constexpr std::uint32_t kNoVictim = ~std::uint32_t{0};
   /// Last worker a steal succeeded from (VictimPolicy::LastVictim).
   std::uint32_t last_victim_ = kNoVictim;
-  /// Consecutive find_work rounds that ended in a failed steal; drives the
-  /// capped exponential backoff and resets on any acquired work.
-  std::uint32_t failed_steal_streak_ = 0;
-  /// Current backoff sleep in microseconds (capped exponential).
-  std::uint32_t backoff_us_ = 0;
   /// Scratch buffer for ChaseLevDeque::steal_batch claims.
   std::vector<Job*> steal_buf_;
 
@@ -516,7 +514,7 @@ class Scheduler {
 
   /// Admits every job staged in `batch` with one queue operation and one
   /// worker wake — the cheap way to push thousands of small jobs.
-  void submit(Batch&& batch) WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
+  void submit(Batch&& batch) WSF_EXCLUDES(inbox_mutex_);
 
   /// submit(Batch&&) with an explicit admission policy; all-or-nothing.
   /// On Rejected/TimedOut the batch is left intact — the caller can retry
@@ -524,7 +522,7 @@ class Scheduler {
   /// with JobOutcome::Abandoned). A Block/Timeout batch larger than the
   /// inbox capacity can never fit and is refused up front.
   SubmitStatus try_submit(Batch& batch, const AdmitOptions& admit_opts = {})
-      WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
+      WSF_EXCLUDES(inbox_mutex_);
 
   /// Blocks until no job is in flight. (New submissions admitted while
   /// draining extend the wait.)
@@ -606,7 +604,7 @@ class Scheduler {
   /// opts.counters).
   std::shared_ptr<detail::JobState> make_job_state(const JobOptions& opts);
   void inject(std::unique_ptr<detail::Job> job)
-      WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
+      WSF_EXCLUDES(inbox_mutex_);
   /// The one admission gate: applies the capacity bound under
   /// `admit_opts.policy`, then moves all `n` jobs into the priority
   /// buckets and wakes workers. All-or-nothing; on success ownership of
@@ -615,7 +613,7 @@ class Scheduler {
   /// admission statistics either way.
   SubmitStatus admit(detail::Job** jobs, std::size_t n,
                      const AdmitOptions& admit_opts)
-      WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
+      WSF_EXCLUDES(inbox_mutex_);
   /// Pops the oldest injected job of the highest nonempty priority class;
   /// pulls a few more into the calling worker's deque (admission batching)
   /// so a burst of tiny jobs does not serialize on the inbox lock.
@@ -624,6 +622,9 @@ class Scheduler {
   /// JobOutcome::Shed.
   detail::Job* take_injected(detail::Worker& taker)
       WSF_EXCLUDES(inbox_mutex_);
+  /// After publishing work: bumps work_epoch_ and wakes one parked worker,
+  /// only when sleepers_ counts one.
+  void wake_one();
   /// Marks a staged-but-never-admitted job completed-without-running so
   /// its handle's wait() throws instead of hanging.
   void abandon(std::unique_ptr<detail::Job> job)
@@ -659,8 +660,8 @@ class Scheduler {
   /// Per-worker counter values captured at the last reset_counters().
   std::vector<WorkerCounters> baseline_;
   std::vector<std::thread> threads_;
-  /// Shutdown flag: release-store under idle_mutex_ in the destructor
-  /// (part of the cv protocol), acquire-load in worker idle loops.
+  /// Shutdown flag: release-store in the destructor before its final epoch
+  /// bump, acquire-load in worker idle loops and in the park re-check.
   std::atomic<bool> stop_{false};
   /// Jobs admitted and not yet completed (drain()'s condition). Incremented
   /// relaxed at admission — going *away* from quiescence never needs to
@@ -675,8 +676,9 @@ class Scheduler {
   /// to exactly the old single FIFO.
   std::array<std::deque<detail::Job*>, kNumJobPriorities> inbox_
       WSF_GUARDED_BY(inbox_mutex_);
-  /// Total jobs across all buckets — the capacity bound's subject.
-  std::size_t inbox_size_ WSF_GUARDED_BY(inbox_mutex_) = 0;
+  /// Total jobs across all buckets — the capacity bound's subject. Written
+  /// under inbox_mutex_; atomic so idle workers can probe it lock-free.
+  std::atomic<std::size_t> inbox_size_{0};
   /// Queued jobs carrying a deadline; lets take_injected skip the clock
   /// read entirely on deadline-free streams (the common case).
   std::size_t inbox_deadlines_ WSF_GUARDED_BY(inbox_mutex_) = 0;
@@ -697,17 +699,10 @@ class Scheduler {
   std::atomic<std::uint64_t> adm_timed_out_{0};
   std::atomic<std::uint64_t> adm_blocked_us_{0};
 
-  /// Idle workers park here; admission bumps the epoch and notifies. The
-  /// epoch closes the race between a worker's last find_work() miss and
-  /// its wait: an admission between the two changes the epoch the worker
-  /// read before re-checking, so the wait predicate is already true.
-  /// The epoch itself stays atomic (not WSF_GUARDED_BY): waiters read it
-  /// lock-free before deciding to park; only the *bump* must happen under
-  /// idle_mutex_ for the cv protocol. Bumps use release, reads acquire,
-  /// so a woken worker also sees the admitted job.
-  support::Mutex idle_mutex_;
-  support::CondVar idle_cv_;
-  std::atomic<std::uint64_t> work_epoch_{0};
+  /// The idle eventcount (Worker::park, wake_one): a push into a pool with
+  /// no sleeper costs one fence and one load. Own line: every push reads it.
+  alignas(64) std::atomic<std::uint32_t> sleepers_{0};
+  std::atomic<std::uint32_t> work_epoch_{0};
 
   support::Mutex fiber_free_mutex_;
   std::vector<std::unique_ptr<Fiber>> fiber_free_

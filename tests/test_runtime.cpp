@@ -315,7 +315,8 @@ TEST_P(Accounting, SingleWorkerHasNoSteals) {
   const auto t = sched.counters().total();
   EXPECT_EQ(t.steals, 0u);
   // The n==1 guard must bail before victim selection even starts: no
-  // attempts, hence no RNG draws, no batch claims, no failed-steal backoff.
+  // attempts, hence no RNG draws, no batch claims, and no parks counted
+  // in steal_backoffs (a worker without victims parks uncounted).
   EXPECT_EQ(t.steal_attempts, 0u);
   EXPECT_EQ(t.batch_steals, 0u);
   EXPECT_EQ(t.batch_stolen_items, 0u);

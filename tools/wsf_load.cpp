@@ -236,8 +236,7 @@ void submitter_loop(runtime::Scheduler& sched, const LoadConfig& cfg,
       for (std::uint64_t i = 0; i < n; ++i)
         arenas[i][cfg.kind_of(start + i)]->stage(batch, opts);
       // A failed try_submit leaves the staged batch intact, so --retry can
-      // re-offer the same jobs after a capped-exponential backoff (the
-      // client-side twin of the workers' failed-steal backoff).
+      // re-offer the same jobs after a capped-exponential backoff.
       std::uint64_t attempts = 0;
       std::uint64_t backoff_us = 0;
       constexpr std::uint64_t kRetryStartUs = 50;
