@@ -1,21 +1,10 @@
-// Shared helpers for the experiment benches: each bench regenerates the
-// series for one paper claim and prints an aligned table plus a shape
-// verdict. Absolute constants are ours; the *shape* (growth exponents,
-// who wins, crossovers) is the reproduction target.
+// Shared helper for the bench binaries: the banner a bench prints above its
+// table. The paper's claims themselves are asserted by tests/test_claims.cpp
+// (`ctest -L claims -V` prints the measured values).
 #pragma once
 
 #include <cstdio>
 #include <string>
-#include <vector>
-
-#include "core/bounds.hpp"
-#include "core/classify.hpp"
-#include "exp/sweep.hpp"
-#include "graphs/generators.hpp"
-#include "sched/harness.hpp"
-#include "support/cli.hpp"
-#include "support/stats.hpp"
-#include "support/table.hpp"
 
 namespace wsf::bench {
 
@@ -24,61 +13,6 @@ inline void print_header(const std::string& id, const std::string& claim) {
   std::printf("%s\n", id.c_str());
   std::printf("Claim: %s\n", claim.c_str());
   std::printf("==============================================================\n");
-}
-
-/// Prints the measured log-log growth exponent of ys against xs along with
-/// the expectation, so the shape check is explicit in the output.
-inline void print_exponent(const std::string& what,
-                           const std::vector<double>& xs,
-                           const std::vector<double>& ys,
-                           double expected_exponent, double tolerance) {
-  std::vector<double> fx, fy;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i] > 0 && ys[i] > 0) {
-      fx.push_back(xs[i]);
-      fy.push_back(ys[i]);
-    }
-  }
-  if (fx.size() < 2) {
-    std::printf("shape: %s — not enough positive samples to fit\n",
-                what.c_str());
-    return;
-  }
-  const auto fit = support::fit_loglog(fx, fy);
-  const bool ok = fit.slope >= expected_exponent - tolerance &&
-                  fit.slope <= expected_exponent + tolerance;
-  std::printf("shape: %s grows with exponent %.2f (expected ~%.1f, r2=%.3f) "
-              "=> %s\n",
-              what.c_str(), fit.slope, expected_exponent, fit.r2,
-              ok ? "OK" : "MISMATCH");
-}
-
-/// Mean over `seeds` random-work-stealing runs of the experiment. A thin
-/// view over exp::run_replicates (seeds 1…seeds) so every bench aggregates
-/// through the same subsystem wsf-sweep uses.
-struct MeanExperiment {
-  double deviations = 0;
-  double additional_misses = 0;
-  double steals = 0;
-  double seq_misses = 0;
-  std::uint64_t span = 0;
-  std::size_t touches = 0;
-  std::size_t nodes = 0;
-};
-
-inline MeanExperiment mean_over_seeds(const core::Graph& g,
-                                      const sched::SimOptions& opts,
-                                      std::uint64_t seeds) {
-  const auto cell = exp::run_replicates(g, opts, /*seed_base=*/1, seeds);
-  MeanExperiment m;
-  m.deviations = cell.deviations.mean();
-  m.additional_misses = cell.additional_misses.mean();
-  m.steals = cell.steals.mean();
-  m.seq_misses = cell.seq_misses.mean();
-  m.span = cell.stats.span;
-  m.touches = cell.stats.touches;
-  m.nodes = cell.stats.nodes;
-  return m;
 }
 
 }  // namespace wsf::bench

@@ -11,6 +11,7 @@
 #include "bench_common.hpp"
 #include "graphs/registry.hpp"
 #include "sched/simulator.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 

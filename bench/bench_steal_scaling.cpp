@@ -2,10 +2,18 @@
 // parsimonious work stealing performs O(P·T∞) steals in expectation.
 // The series is one declarative exp::SweepSpec; the per-family × per-P loop
 // lives in the sweep runner, which executes the grid concurrently.
-#include "bench_common.hpp"
-
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <string>
+
+#include "bench_common.hpp"
+#include "core/bounds.hpp"
+#include "exp/sweep.hpp"
+#include "support/check.hpp"
+#include "support/cli.hpp"
+#include "support/table.hpp"
 
 using namespace wsf;
 

@@ -4,8 +4,8 @@
 // with LRU replacement, and each DAG node accesses at most one memory block.
 // The upper-bound results hold for all "simple" replacement policies (the
 // footnote in Section 3, citing Acar et al.), so the suite also provides
-// FIFO, direct-mapped, and set-associative LRU models; bench E10 re-runs the
-// headline experiments across them.
+// FIFO, direct-mapped, and set-associative LRU models; test_claims checks the
+// Theorem 8 bounds under each of them.
 #pragma once
 
 #include <cstddef>

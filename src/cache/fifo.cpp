@@ -12,7 +12,7 @@ namespace {
 
 /// Fully associative FIFO: evicts the line that has been resident longest,
 /// regardless of use. A "simple" policy in the sense of Acar et al., so the
-/// paper's upper bounds also apply to it (bench E10 checks the shape).
+/// paper's upper bounds also apply to it (test_claims checks them).
 class FifoCache final : public CacheModel {
  public:
   explicit FifoCache(std::size_t lines) : lines_(lines) {

@@ -12,7 +12,7 @@ namespace {
 
 /// W-way set-associative cache with LRU within each set. The paper's
 /// footnote notes Acar et al.'s drifted-node bounds cover set-associative
-/// caches too; bench E10 demonstrates the shape is preserved.
+/// caches too; test_claims checks the Theorem 8 bounds under it.
 class SetAssociativeCache final : public CacheModel {
  public:
   SetAssociativeCache(std::size_t lines, std::size_t ways)

@@ -1,7 +1,7 @@
-// Closed-form values of the paper's bounds, used by benches to print
-// measured/predicted ratio columns. These are the bound expressions with the
-// constants dropped; the *shape* check is that the ratio stays roughly flat
-// (or bounded) across a sweep.
+// Closed-form values of the paper's bounds, used by tests/test_claims.cpp
+// and bench_steal_scaling for measured/bound ratios. These are the bound
+// expressions with the constants dropped; the claim checked is that the
+// ratio stays bounded (below 1) across a sweep.
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,7 @@
 // configuration's seed replicates as independent run_experiment() calls
 // across std::thread workers, and aggregates the paper's measures with
 // mean/stderr. The wsf-sweep CLI (tools/wsf_sweep.cpp) exposes the whole
-// thing as one command; bench harnesses declare their series through the
-// same types instead of hand-rolled loops.
+// thing as one command.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,7 @@ namespace wsf::graphs {
 // DAG on which a single touch costs Ω(C·T∞) additional misses under the
 // parent-first policy. The paper notes the DAG "is similar to the DAG in
 // Figure 7(a)", and the proof of Theorem 10 carries the analysis; we expose
-// it as the fig7a construction under its Figure 2 name so bench E4 can sweep
-// C directly. (No separate generator: the two figures share one gadget.)
+// it as the fig7a construction under its Figure 2 name, and test_claims
+// sweeps C on it directly. (No separate generator: the two figures share one gadget.)
 
 }  // namespace wsf::graphs

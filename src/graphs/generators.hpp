@@ -167,7 +167,8 @@ GeneratedDag fig6c(std::uint32_t groups, std::uint32_t k, std::uint32_t m,
 /// (so its touch can be checked before the future thread is spawned).
 /// With frac = 0 the DAG is structured single-touch; any early consumer
 /// makes the classifier reject it and premature touches appear under
-/// thieving schedules (bench_ablation_structure sweeps the fraction).
+/// thieving schedules (test_extensions AblationMix.* checks fractions
+/// from 0 to 1).
 GeneratedDag unstructured_mix(std::uint32_t pairs, double unstructured_frac,
                               std::uint32_t delay, std::uint64_t seed);
 

@@ -17,7 +17,7 @@ namespace wsf::support {
 /// Declarative flag registry + parser.
 ///
 /// Usage:
-///   ArgParser args("bench_thm8");
+///   ArgParser args("sim_explorer — run one graph on the simulator");
 ///   auto& p = args.add_int("procs", 8, "simulated processors");
 ///   args.parse(argc, argv);   // throws CheckError on bad input
 ///   use(p.value);

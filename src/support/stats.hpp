@@ -51,8 +51,8 @@ LinearFit fit_linear(const std::vector<double>& xs,
 
 /// Fits y = a * x^b by linear regression in log-log space and returns the
 /// exponent b (slope) and log a (intercept). All samples must be positive.
-/// This is how benches verify growth exponents (e.g. deviations vs T_inf
-/// should have slope ~2 under Theorem 9's construction).
+/// This is how tests/test_claims.cpp checks growth exponents (e.g.
+/// deviations vs k should have slope ~2 under Theorem 9's construction).
 LinearFit fit_loglog(const std::vector<double>& xs,
                      const std::vector<double>& ys);
 

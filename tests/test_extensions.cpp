@@ -16,23 +16,25 @@ using core::ForkPolicy;
 using sched::SimOptions;
 
 TEST(DeviationChains, Fig6aOneStealOneLongChain) {
-  auto gen = graphs::fig6a(16, 0);
-  SimOptions opts;
-  opts.procs = 2;
-  opts.policy = ForkPolicy::FutureFirst;
-  graphs::Fig6Controller ctrl;
-  const auto r = sched::run_experiment(gen.graph, opts, &ctrl);
-  ASSERT_EQ(r.par.steals, 1u);
-  const auto chains =
-      core::deviation_chains(gen.graph, r.deviations, r.par.stolen_nodes);
-  ASSERT_EQ(chains.size(), 1u);
-  // The chain walks the passing chain: x_1 … x_m (16 touches).
-  EXPECT_GE(chains[0].touches.size(), 14u);
-  EXPECT_LE(chains[0].touches.size(), 16u);
-  // Chain touches must all be flagged deviations and form a path (each
-  // deeper than the previous in topological position).
-  for (core::NodeId x : chains[0].touches)
-    EXPECT_TRUE(r.deviations.is_deviation[x]);
+  for (std::uint32_t m : {8u, 16u, 32u, 64u}) {
+    auto gen = graphs::fig6a(m, 0);
+    SimOptions opts;
+    opts.procs = 2;
+    opts.policy = ForkPolicy::FutureFirst;
+    graphs::Fig6Controller ctrl;
+    const auto r = sched::run_experiment(gen.graph, opts, &ctrl);
+    ASSERT_EQ(r.par.steals, 1u) << "m=" << m;
+    const auto chains =
+        core::deviation_chains(gen.graph, r.deviations, r.par.stolen_nodes);
+    ASSERT_EQ(chains.size(), 1u) << "m=" << m;
+    // The chain walks the passing chain: x_1 … x_m (m touches).
+    EXPECT_GE(chains[0].touches.size(), m - 2) << "m=" << m;
+    EXPECT_LE(chains[0].touches.size(), m) << "m=" << m;
+    // Chain touches must all be flagged deviations and form a path (each
+    // deeper than the previous in topological position).
+    for (core::NodeId x : chains[0].touches)
+      EXPECT_TRUE(r.deviations.is_deviation[x]) << "m=" << m;
+  }
 }
 
 TEST(DeviationChains, NoStealNoChains) {
@@ -74,11 +76,17 @@ TEST(AblationMix, FullyStructuredIsSingleTouch) {
 }
 
 TEST(AblationMix, AnyEarlyConsumerBreaksStructure) {
-  const auto gen = graphs::unstructured_mix(12, 1.0, 8, 1);
-  const auto rep = core::classify(gen.graph);
-  EXPECT_FALSE(rep.structured);
-  EXPECT_FALSE(rep.single_touch);
-  EXPECT_FALSE(rep.violations.empty());
+  const auto check = [](std::uint32_t pairs, double frac,
+                        std::uint32_t delay, std::uint64_t seed) {
+    const auto gen = graphs::unstructured_mix(pairs, frac, delay, seed);
+    const auto rep = core::classify(gen.graph);
+    EXPECT_FALSE(rep.structured) << "frac=" << frac;
+    EXPECT_FALSE(rep.single_touch) << "frac=" << frac;
+    EXPECT_FALSE(rep.violations.empty()) << "frac=" << frac;
+  };
+  check(12, 1.0, 8, 1);
+  // A quarter of the consumers forked early is already enough.
+  for (double frac : {0.25, 0.5, 0.75}) check(24, frac, 16, 7);
 }
 
 TEST(AblationMix, PrematureTouchesTrackTheFraction) {

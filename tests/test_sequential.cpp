@@ -2,6 +2,8 @@
 // order invariants as property tests over random structured DAGs.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/classify.hpp"
 #include "graphs/generators.hpp"
 #include "graphs/registry.hpp"
@@ -140,12 +142,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Lemma4Property, ::testing::Range(1, 41));
 TEST(Lemma4, HoldsOnPaperConstructions) {
   for (const char* name : {"fig4", "fig5a", "fig5b", "fig6a", "fig6b",
                            "fig7a", "forkjoin", "fib", "future-chain"}) {
-    graphs::RegistryParams p;
-    p.size = 4;
-    p.size2 = 3;
-    const auto gen = graphs::make_named(name, p);
-    const auto r = run_seq(gen.graph, ForkPolicy::FutureFirst);
-    expect_lemma4(gen.graph, r);
+    for (const auto& [size, size2] :
+         {std::pair{4u, 3u}, std::pair{6u, 4u}}) {
+      graphs::RegistryParams p;
+      p.size = size;
+      p.size2 = size2;
+      const auto gen = graphs::make_named(name, p);
+      const auto r = run_seq(gen.graph, ForkPolicy::FutureFirst);
+      expect_lemma4(gen.graph, r);
+    }
   }
 }
 

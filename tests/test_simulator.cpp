@@ -188,7 +188,8 @@ TEST(PrematureTouch, Fig3StolenConsumerChecksEarly) {
 TEST(PrematureTouch, StructuredComputationsNeverCheckEarly) {
   for (const char* name : {"fig4", "fig5a", "fig5b", "fig6a", "fig6b",
                            "fig7a", "fig7b", "fig8", "forkjoin", "fib",
-                           "pipeline", "future-chain"}) {
+                           "pipeline", "future-chain",
+                           "random-local-touch"}) {
     graphs::RegistryParams p;
     p.size = 4;
     p.size2 = 3;
